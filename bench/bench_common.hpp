@@ -30,7 +30,7 @@ struct BenchContext {
   double scale = 0.0;      ///< explicit --scale overrides presets
   std::string out_dir = "bench_results";
   /// --engine: execution engine for any proxy replays the bench performs
-  /// (serial | spmd | event). Serial matches historical bench behavior;
+  /// (serial | event). Serial matches historical bench behavior;
   /// event unlocks machine-scale rank counts.
   exec::EngineKind engine = exec::EngineKind::kSerial;
   /// --trace_out: Chrome-trace/Perfetto JSON. Benches trace one study row at
@@ -128,7 +128,7 @@ inline BenchContext parse_bench_args(int argc, char** argv,
   cli.add_option("scale", "explicit mesh scale in (0,1]", 1);
   cli.add_option("out", "output directory for CSV", 1,
                  std::string("bench_results"));
-  cli.add_option("engine", "execution engine: serial | spmd | event", 1,
+  cli.add_option("engine", "execution engine: serial | event", 1,
                  std::string("serial"));
   cli.add_option("trace_out",
                  "Chrome-trace JSON (default: last study row; %d in the "

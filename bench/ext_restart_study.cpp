@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
 
         pfs::MemoryBackend backend(false);  // accounting: exact sizes
         exec::SerialEngine engine(params.nprocs);
-        row_tracer = obs::Tracer();
+        row_tracer.clear();
         const obs::Probe probe = ctx.probe(row_tracer);
         (void)macsio::run_macsio(engine, params, backend);
         const auto restart =

@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
 
       pfs::MemoryBackend backend(false);
       exec::SerialEngine engine(params.nprocs);
-      row_tracer = obs::Tracer();
+      row_tracer.clear();
       obs::Probe probe = ctx.probe(row_tracer);
       const auto stats =
           macsio::run_macsio(engine, params, backend, nullptr, probe);
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
           requests = cluster_aggregators(std::move(requests), topo);
           // Second row of this config: regenerate the driver spans into a
           // fresh tracer so this placement's critical path stands alone.
-          row_tracer = obs::Tracer();
+          row_tracer.clear();
           probe = ctx.probe(row_tracer);
           pfs::MemoryBackend probe_backend(false);
           exec::SerialEngine probe_engine(params.nprocs);

@@ -1,21 +1,21 @@
 /// \file micro_engine_scaling.cpp
 /// Engine/backend scaling microbench, two independent sweeps:
 ///
-///  1. Backend contention (ranks {1, 4, 16, 64}): a raw concurrent write
-///     storm and a full MIF N-to-N MACSio dump on the counting
-///     MemoryBackend, comparing the sharded contention-free backend against
-///     a faithful replica of the old design (one global mutex around one
-///     std::map). Emits micro_engine_scaling.csv.
+///  1. Backend write path (ranks {1, 4, 16, 64}): a full MIF N-to-N MACSio
+///     dump on the counting MemoryBackend (writes go through its lock-free
+///     handle table) against a faithful replica of the old design (one
+///     global mutex around one std::map, re-walked on every write). Emits
+///     micro_engine_scaling.csv.
 ///
 ///  2. Execution-engine scaling (ranks 64 → 131072, and 516,096 with
-///     --full): serial vs spmd vs event on three workload shapes — pure
-///     engine fabric (spin-up + one barrier), a MIF N-to-N dump, and a
+///     --full): serial vs event on three workload shapes — pure engine
+///     fabric (spin-up + one barrier), a MIF N-to-N dump, and a
 ///     fig11-shaped aggregated dump (56-rank groups). Emits
 ///     BENCH_engine.json (ranks × engine × wall-seconds, sim-ranks/sec plus
 ///     event-over-serial speedups) so the engine trajectory is recorded as
-///     data, not prose. SpmdEngine rows stop at its thread cap and
-///     SerialEngine rows at 32k ranks (128 KiB of fiber stack per rank);
-///     the event engine runs the whole sweep — that asymmetry is the point.
+///     data, not prose. SerialEngine rows stop at 32k ranks (128 KiB of
+///     fiber stack per rank); the event engine runs the whole sweep — that
+///     asymmetry is the point.
 
 #include <algorithm>
 #include <chrono>
@@ -102,20 +102,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// N ranks, each appending `writes` chunks of `chunk` bytes into its own
-/// file — the N-to-N hot path with all serialization cost exposed.
-double write_storm_seconds(pfs::StorageBackend& be, int nranks, int writes,
-                           std::size_t chunk) {
-  const std::vector<std::byte> payload(chunk, std::byte{0x5a});
-  exec::SpmdEngine engine(nranks);
-  const auto t0 = std::chrono::steady_clock::now();
-  engine.run([&](exec::RankCtx& ctx) {
-    pfs::OutFile out(be, "storm/rank_" + std::to_string(ctx.rank()));
-    for (int i = 0; i < writes; ++i) out.write(payload);
-  });
-  return seconds_since(t0);
-}
-
 double dump_seconds(pfs::StorageBackend& be, int nranks, int num_dumps,
                     std::uint64_t part_size, double parts_per_rank) {
   macsio::Params params;
@@ -124,7 +110,7 @@ double dump_seconds(pfs::StorageBackend& be, int nranks, int num_dumps,
   params.part_size = part_size;
   params.avg_num_parts = parts_per_rank;
   params.output_dir = "scaling_out";
-  exec::SpmdEngine engine(nranks);
+  exec::SerialEngine engine(nranks);
   const auto t0 = std::chrono::steady_clock::now();
   macsio::run_macsio(engine, params, be);
   return seconds_since(t0);
@@ -192,16 +178,11 @@ struct EngineRow {
   double ranks_per_sec = 0.0;
 };
 
-/// Which engines are worth timing at `ranks`: spmd stops at its thread cap,
-/// serial at 32k ranks (128 KiB fiber stack each — 4 GiB of stacks there,
-/// and the per-rank cost is flat so larger counts add no information).
+/// Which engines are worth timing at `ranks`: serial stops at 32k ranks
+/// (128 KiB fiber stack each — 4 GiB of stacks there, and the per-rank cost
+/// is flat so larger counts add no information).
 bool engine_runs_at(exec::EngineKind kind, int ranks) {
-  switch (kind) {
-    case exec::EngineKind::kSpmd: return ranks <= exec::SpmdEngine::thread_cap();
-    case exec::EngineKind::kSerial: return ranks <= 32768;
-    case exec::EngineKind::kEvent: return true;
-  }
-  return false;
+  return kind == exec::EngineKind::kEvent || ranks <= 32768;
 }
 
 }  // namespace
@@ -209,16 +190,11 @@ bool engine_runs_at(exec::EngineKind kind, int ranks) {
 int main(int argc, char** argv) {
   const auto ctx = bench::parse_bench_args(
       argc, argv, "micro_engine_scaling",
-      "engine/backend scaling: sharded vs global-mutex substrate, and "
-      "serial vs spmd vs event execution engines");
+      "engine/backend scaling: handle-table vs global-mutex substrate, and "
+      "serial vs event execution engines");
   bench::banner("Engine scaling — I/O substrate and execution engines",
                 "motivation for the unified exec engine (§II, Fig. 3 path)");
 
-  // Write-dense settings: parts big enough that per-write backend cost
-  // dominates the per-dump collectives even with heavily oversubscribed
-  // threads, so the backend comparison is what the sweep actually measures.
-  const int writes = ctx.full ? 60000 : 20000;
-  const std::size_t chunk = 256;
   // The dump sweep uses the paper's many-parts-per-task MIF regime (small
   // parts, ~1k parts per rank): every part document is a burst of small
   // backend writes, so the substrate — not bulk formatting — is what the
@@ -229,67 +205,41 @@ int main(int argc, char** argv) {
   const std::uint64_t part_size = 2048;
   const double parts_per_rank = 1024;
 
-  util::TextTable storm({"ranks", "global-mutex MB/s", "sharded MB/s",
-                         "speedup"});
-  util::TextTable dumps({"ranks", "global-mutex MB/s", "sharded MB/s",
+  util::TextTable dumps({"ranks", "global-mutex MB/s", "memory-backend MB/s",
                          "speedup"});
   util::CsvWriter csv(bench::csv_path(ctx, "micro_engine_scaling.csv"));
-  csv.header({"workload", "ranks", "global_mutex_mbps", "sharded_mbps",
+  csv.header({"workload", "ranks", "global_mutex_mbps", "memory_backend_mbps",
               "speedup"});
 
   for (int ranks : {1, 4, 16, 64}) {
-    {
-      const double mb =
-          static_cast<double>(ranks) * writes * chunk / 1e6;
-      const double t_old = median_seconds(reps, [&] {
-        GlobalMutexBackend old_be;
-        return write_storm_seconds(old_be, ranks, writes, chunk);
-      });
-      const double t_new = median_seconds(reps, [&] {
-        pfs::MemoryBackend new_be(false);
-        return write_storm_seconds(new_be, ranks, writes, chunk);
-      });
-      storm.add_row({std::to_string(ranks), util::format_g(mb / t_old, 4),
-                     util::format_g(mb / t_new, 4),
-                     util::format_g(t_old / t_new, 3) + "x"});
-      csv.row({"write_storm", std::to_string(ranks),
-               std::to_string(mb / t_old), std::to_string(mb / t_new),
-               std::to_string(t_old / t_new)});
-    }
-    {
-      double mb = 0.0;
-      const double t_old = median_seconds(reps, [&] {
-        GlobalMutexBackend old_be;
-        const double t =
-            dump_seconds(old_be, ranks, num_dumps, part_size, parts_per_rank);
-        mb = static_cast<double>(old_be.total_bytes()) / 1e6;
-        return t;
-      });
-      const double t_new = median_seconds(reps, [&] {
-        pfs::MemoryBackend new_be(false);
-        return dump_seconds(new_be, ranks, num_dumps, part_size,
-                            parts_per_rank);
-      });
-      dumps.add_row({std::to_string(ranks), util::format_g(mb / t_old, 4),
-                     util::format_g(mb / t_new, 4),
-                     util::format_g(t_old / t_new, 3) + "x"});
-      csv.row({"mif_dump", std::to_string(ranks), std::to_string(mb / t_old),
-               std::to_string(mb / t_new), std::to_string(t_old / t_new)});
-    }
+    double mb = 0.0;
+    const double t_old = median_seconds(reps, [&] {
+      GlobalMutexBackend old_be;
+      const double t =
+          dump_seconds(old_be, ranks, num_dumps, part_size, parts_per_rank);
+      mb = static_cast<double>(old_be.total_bytes()) / 1e6;
+      return t;
+    });
+    const double t_new = median_seconds(reps, [&] {
+      pfs::MemoryBackend new_be(false);
+      return dump_seconds(new_be, ranks, num_dumps, part_size, parts_per_rank);
+    });
+    dumps.add_row({std::to_string(ranks), util::format_g(mb / t_old, 4),
+                   util::format_g(mb / t_new, 4),
+                   util::format_g(t_old / t_new, 3) + "x"});
+    csv.row({"mif_dump", std::to_string(ranks), std::to_string(mb / t_old),
+             std::to_string(mb / t_new), std::to_string(t_old / t_new)});
   }
 
-  std::printf("raw write storm (%d writes x %zu B per rank, SpmdEngine):\n%s\n",
-              writes, chunk, storm.to_string().c_str());
   std::printf("MIF N-to-N dump (run_macsio, %d dumps, part_size %llu, "
               "%.0f parts/rank, median of %d):\n%s\n",
               num_dumps, static_cast<unsigned long long>(part_size),
               parts_per_rank, reps, dumps.to_string().c_str());
 
-  // --- execution-engine sweep: serial vs spmd vs event -----------------------
+  // --- execution-engine sweep: serial vs event ------------------------------
   std::vector<int> engine_ranks = {64, 512, 4096, 131072};
   if (ctx.full) engine_ranks.push_back(9216 * 56);  // the 516,096-rank case
   const exec::EngineKind kinds[] = {exec::EngineKind::kSerial,
-                                    exec::EngineKind::kSpmd,
                                     exec::EngineKind::kEvent};
   const Workload workloads[] = {Workload::kSpinupBarrier, Workload::kMifDump,
                                 Workload::kAggDump};
@@ -319,9 +269,9 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("execution engines (same driver body per workload; spmd capped "
-              "at %d threads,\nserial at 32768 ranks):\n%s\n",
-              exec::SpmdEngine::thread_cap(), engines.to_string().c_str());
+  std::printf("execution engines (same driver body per workload; serial "
+              "capped at 32768 ranks):\n%s\n",
+              engines.to_string().c_str());
 
   // BENCH_engine.json: the rows plus event-over-serial speedups wherever both
   // engines ran — the trajectory record CI uploads.

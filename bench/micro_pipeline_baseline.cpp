@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
 
       pfs::MemoryBackend backend(false);
       exec::SerialEngine engine(params.nprocs);
-      row_tracer = obs::Tracer();
+      row_tracer.clear();
       const obs::Probe probe = ctx.probe(row_tracer);
       const auto stats =
           macsio::run_macsio(engine, params, backend, nullptr, probe);

@@ -2,9 +2,8 @@
 /// The MACSio-compatible proxy I/O executable — accepts the paper's Table II
 /// argument set (Listing-1 invocations work verbatim, minus jsrun) and runs
 /// the dump loop over virtual ranks. --engine picks the execution substrate:
-/// serial fibers (default), spmd OS threads through the simulated MPI layer
-/// (including MIF baton-passing), or the discrete-event engine for
-/// machine-scale rank counts (--engine event handles 100k+ virtual ranks).
+/// serial fibers (default) or the discrete-event engine for machine-scale
+/// rank counts (--engine event handles 100k+ virtual ranks).
 ///
 ///   macsio_proxy --interface miftmpl --parallel_file_mode MIF 8 \
 ///     --num_dumps 20 --part_size 1550000 --avg_num_parts 1 \
@@ -28,6 +27,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "campaign/predict.hpp"
 #include "campaign/report.hpp"
@@ -45,6 +45,7 @@
 #include "obs/whatif.hpp"
 #include "pfs/timeline.hpp"
 #include "staging/aggregator.hpp"
+#include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
@@ -69,13 +70,29 @@ int main(int argc, char** argv) {
   std::string cache_path;
   std::string campaign_csv;
   int predict_ranks = 0;
+  // Strict integer value of `--name`, at least `min`; on anything else
+  // prints why (naming the flag) and returns false — the caller exits 2.
+  auto int_flag = [](const char* text, const char* name, int min, int& out) {
+    try {
+      const std::int64_t v = util::parse_int(text, name);
+      if (v >= min && v <= std::numeric_limits<int>::max()) {
+        out = static_cast<int>(v);
+        return true;
+      }
+      std::fprintf(stderr, "macsio_proxy: --%s must be in [%d, %d]\n", name,
+                   min, std::numeric_limits<int>::max());
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "macsio_proxy: %s\n", e.what());
+    }
+    return false;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--spmd") {  // legacy alias for --engine spmd
-      engine_kind = exec::EngineKind::kSpmd;
-    } else if (a == "--engine" && i + 1 < argc) {
+    if (a == "--spmd" || (a == "--engine" && i + 1 < argc)) {
+      // --spmd aliased the removed spmd engine; it is rejected by name too.
       try {
-        engine_kind = exec::engine_kind_from_name(argv[++i]);
+        engine_kind =
+            exec::engine_kind_from_name(a == "--spmd" ? "spmd" : argv[++i]);
       } catch (const std::exception& e) {
         std::fprintf(stderr, "macsio_proxy: %s\n", e.what());
         return 2;
@@ -87,11 +104,7 @@ int main(int argc, char** argv) {
     } else if (a == "--trace_out" && i + 1 < argc) {
       trace_out = argv[++i];
     } else if (a == "--trace_sample" && i + 1 < argc) {
-      trace_sample = std::atoi(argv[++i]);
-      if (trace_sample < 0) {
-        std::fprintf(stderr, "macsio_proxy: --trace_sample must be >= 0\n");
-        return 2;
-      }
+      if (!int_flag(argv[++i], "trace_sample", 0, trace_sample)) return 2;
     } else if (a == "--metrics_out" && i + 1 < argc) {
       metrics_out = argv[++i];
     } else if (a == "--util_out" && i + 1 < argc) {
@@ -110,22 +123,14 @@ int main(int argc, char** argv) {
     } else if (a == "--campaign") {
       campaign_mode = true;
     } else if (a == "--jobs" && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
-      if (jobs < 1) {
-        std::fprintf(stderr, "macsio_proxy: --jobs must be >= 1\n");
-        return 2;
-      }
+      if (!int_flag(argv[++i], "jobs", 1, jobs)) return 2;
     } else if (a == "--cache" && i + 1 < argc) {
       cache_path = argv[++i];
     } else if (a == "--campaign_csv" && i + 1 < argc) {
       campaign_csv = argv[++i];
       campaign_mode = true;
     } else if (a == "--predict" && i + 1 < argc) {
-      predict_ranks = std::atoi(argv[++i]);
-      if (predict_ranks < 1) {
-        std::fprintf(stderr, "macsio_proxy: --predict needs a rank count\n");
-        return 2;
-      }
+      if (!int_flag(argv[++i], "predict", 1, predict_ranks)) return 2;
       campaign_mode = true;
     } else if (a == "--help") {
       std::printf(
@@ -138,9 +143,9 @@ int main(int argc, char** argv) {
           "           --codec_throughput B --codec_decode_throughput B\n"
           "  restart: --restart (read the last dump back)\n"
           "           --read_staging none|bb --prefetch N\n"
-          "  extras: --engine serial|spmd|event (execution substrate;\n"
-          "          event scales to 100k+ virtual ranks), --spmd (alias\n"
-          "          for --engine spmd), --disk (write real files),\n"
+          "  extras: --engine serial|event (execution substrate;\n"
+          "          event scales to 100k+ virtual ranks),\n"
+          "          --disk (write real files),\n"
           "          --out DIR (disk root)\n"
           "  observability: --trace_out FILE (Chrome-trace/Perfetto JSON of\n"
           "          the virtual-time spans; ranks as threads),\n"

@@ -25,7 +25,7 @@
 ///    otherwise taken from the configured/default smoothness.
 ///
 /// Codecs are immutable and stateless after construction: one instance can
-/// serve concurrent SPMD ranks.
+/// serve every rank of a run (and every concurrent campaign cell).
 ///
 /// Physical encoding (`encode`/`decode`) wraps the raw payload in a small
 /// self-describing container carrying the modeled result, so shipped/staged

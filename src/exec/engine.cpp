@@ -3,7 +3,6 @@
 #include <ucontext.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <exception>
@@ -16,44 +15,6 @@
 #include "util/assert.hpp"
 
 namespace amrio::exec {
-
-// ---------------------------------------------------------------- SpmdEngine
-
-int SpmdEngine::thread_cap() {
-  constexpr int kDefaultCap = 1024;
-  if (const char* env = std::getenv("AMRIO_SPMD_THREAD_CAP")) {
-    const int v = std::atoi(env);
-    if (v >= 1) return v;
-  }
-  return kDefaultCap;
-}
-
-SpmdEngine::SpmdEngine(int nranks) : nranks_(nranks) {
-  AMRIO_EXPECTS_MSG(nranks >= 1, "SpmdEngine needs at least one rank");
-  // Fail fast with a usable message instead of letting pthread_create die on
-  // resource exhaustion partway through spawning tens of thousands of threads.
-  AMRIO_EXPECTS_MSG(
-      nranks <= thread_cap(),
-      "SpmdEngine: " << nranks << " ranks exceeds the thread cap of "
-                     << thread_cap()
-                     << " OS threads — use --engine=event for large rank "
-                        "counts (or raise AMRIO_SPMD_THREAD_CAP)");
-}
-
-void SpmdEngine::run(const RankFn& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  simmpi::run_spmd(nranks_, [&fn](simmpi::Comm& comm) {
-    CommCtx ctx(comm);
-    fn(ctx);
-  });
-  if (profiler_ != nullptr) {
-    profiler_->count("engine.spmd.runs", 1);
-    profiler_->phase_add(
-        "engine.spmd.run",
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count());
-  }
-}
 
 // -------------------------------------------------------------- SerialEngine
 //
@@ -238,7 +199,7 @@ class FiberCtx final : public RankCtx {
   }
 
   void check_abort() const {
-    if (st_->aborted) throw simmpi::CommAborted();
+    if (st_->aborted) throw RankAborted();
   }
 
   SerialState* st_;
@@ -309,7 +270,7 @@ void fiber_trampoline(unsigned int hi, unsigned int lo) {
     if (!progressed && ndone < nranks) {
       // Deadlock: don't throw over suspended fibers (their locals would
       // never be destructed). Flag the abort and let the next pass resume
-      // every blocked fiber; each throws CommAborted internally, unwinds,
+      // every blocked fiber; each throws RankAborted internally, unwinds,
       // and finishes, then run() rethrows the error recorded here.
       if (st.aborted)
         throw std::runtime_error(
@@ -483,7 +444,6 @@ std::vector<std::byte> scatterv_group(
 std::unique_ptr<Engine> make_engine(EngineKind kind, int nranks) {
   switch (kind) {
     case EngineKind::kSerial: return std::make_unique<SerialEngine>(nranks);
-    case EngineKind::kSpmd: return std::make_unique<SpmdEngine>(nranks);
     case EngineKind::kEvent: return std::make_unique<EventEngine>(nranks);
   }
   throw std::invalid_argument("make_engine: unknown engine kind");
@@ -491,16 +451,14 @@ std::unique_ptr<Engine> make_engine(EngineKind kind, int nranks) {
 
 EngineKind engine_kind_from_name(const std::string& name) {
   if (name == "serial") return EngineKind::kSerial;
-  if (name == "spmd") return EngineKind::kSpmd;
   if (name == "event") return EngineKind::kEvent;
   throw std::invalid_argument("unknown engine '" + name +
-                              "' (valid: serial, spmd, event)");
+                              "' (valid: serial, event)");
 }
 
 const char* engine_kind_name(EngineKind kind) {
   switch (kind) {
     case EngineKind::kSerial: return "serial";
-    case EngineKind::kSpmd: return "spmd";
     case EngineKind::kEvent: return "event";
   }
   return "unknown";

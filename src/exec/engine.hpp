@@ -4,18 +4,11 @@
 ///
 /// The drivers in this repository (the MACSio dump loop, the AMReX plotfile
 /// writer) are SPMD programs: every rank executes the same body, synchronizing
-/// through a small set of collectives and MIF baton messages. Historically the
-/// repo carried two divergent implementations of each driver — a serial loop
-/// over virtual ranks and a threaded path over simmpi — which had to be kept
-/// byte-identical by hand. This layer collapses them: drivers are written once
-/// against `RankCtx` (rank id, barrier, exscan_sum, gather/gatherv, tagged
-/// token and byte-payload send/recv) and an `Engine` decides how the ranks
-/// execute:
+/// through a small set of collectives and MIF baton messages. Drivers are
+/// written once against `RankCtx` (rank id, barrier, exscan_sum,
+/// gather/gatherv, tagged token and byte-payload send/recv) and an `Engine`
+/// decides how the ranks execute:
 ///
-///  * `SpmdEngine`  — real concurrency: one OS thread per rank via
-///    `simmpi::run_spmd`, collectives through the shared-memory communicator.
-///    Fails fast above a configurable thread cap (see `SpmdEngine::thread_cap`)
-///    instead of exhausting the machine mid-run.
 ///  * `SerialEngine` — zero threads: each rank is a cooperatively scheduled
 ///    fiber (ucontext). Collectives suspend a fiber until every rank arrives,
 ///    so MPI lockstep semantics hold exactly, deterministically, and cheaply —
@@ -27,28 +20,37 @@
 ///    queue makes each step O(active events) rather than O(nranks). This is
 ///    the engine for 100k+ simulated ranks (`--engine=event`).
 ///
-/// Because both engines run the *same* driver body, serial and threaded runs
-/// are byte-identical by construction (asserted by tests/test_exec.cpp).
+/// The two engines are independent schedulers running the *same* driver
+/// body, so their outputs are byte-identical by construction (asserted by
+/// tests/test_exec.cpp and tests/test_event_engine.cpp).
 ///
-/// Error semantics mirror `simmpi::run_spmd`: if any rank throws, peers
-/// blocked on a collective or recv observe `simmpi::CommAborted` and
-/// `Engine::run` rethrows the first rank's exception.
+/// Error semantics: if any rank throws, peers blocked on a collective or recv
+/// observe `RankAborted` and `Engine::run` rethrows the first rank's
+/// exception.
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/probe.hpp"
-#include "simmpi/comm.hpp"
 
 namespace amrio::obs {
 class SelfProfiler;
 }
 
 namespace amrio::exec {
+
+/// Thrown on surviving ranks when a peer rank failed (or the run deadlocked),
+/// so their bodies unwind before `Engine::run` rethrows the first error.
+class RankAborted : public std::runtime_error {
+ public:
+  RankAborted() : std::runtime_error("exec: run aborted by peer failure") {}
+};
 
 /// Per-rank execution context handed to the driver body. Provides the
 /// collective operations the I/O drivers need; every rank must call the same
@@ -115,7 +117,7 @@ class Engine {
  public:
   virtual ~Engine() = default;
   virtual int nranks() const = 0;
-  /// Human-readable engine name ("serial", "spmd") for reports.
+  /// Human-readable engine name ("serial", "event") for reports.
   virtual const char* name() const = 0;
   /// Execute `fn` once per rank. Blocks until every rank finishes; rethrows
   /// the first rank exception, if any.
@@ -140,9 +142,8 @@ class SerialEngine final : public Engine {
  public:
   /// `stack_bytes` is the per-fiber stack size; the default comfortably fits
   /// the plotfile/MACSio writer bodies. Fiber stacks are plain heap blocks
-  /// with no guard page (unlike SpmdEngine's OS thread stacks), so bodies
-  /// with very deep frames should raise `stack_bytes` rather than rely on a
-  /// fault to catch overflow.
+  /// with no guard page, so bodies with very deep frames should raise
+  /// `stack_bytes` rather than rely on a fault to catch overflow.
   explicit SerialEngine(int nranks, std::size_t stack_bytes = 128 * 1024);
   int nranks() const override { return nranks_; }
   const char* name() const override { return "serial"; }
@@ -151,27 +152,6 @@ class SerialEngine final : public Engine {
  private:
   int nranks_;
   std::size_t stack_bytes_;
-};
-
-/// Thread-per-rank engine over simmpi::run_spmd.
-class SpmdEngine final : public Engine {
- public:
-  /// Throws (ContractViolation) when `nranks` exceeds `thread_cap()` — one OS
-  /// thread per rank does not survive machine-scale rank counts, and dying on
-  /// pthread_create mid-run loses the error; the message points at
-  /// `--engine=event` instead.
-  explicit SpmdEngine(int nranks);
-  int nranks() const override { return nranks_; }
-  const char* name() const override { return "spmd"; }
-  void run(const RankFn& fn) override;
-
-  /// Most ranks this engine will agree to run as real threads. Defaults to
-  /// 1024; override with the AMRIO_SPMD_THREAD_CAP environment variable
-  /// (read per construction, so tests can adjust it).
-  static int thread_cap();
-
- private:
-  int nranks_;
 };
 
 /// Discrete-event engine: virtual ranks on one shared execution stack.
@@ -205,47 +185,11 @@ class EventEngine final : public Engine {
   std::size_t stack_bytes_;
 };
 
-/// RankCtx over an existing simmpi communicator — lets code that is already
-/// inside `simmpi::run_spmd` (the legacy `run_*_spmd` entry points) reuse the
-/// engine-parameterized driver bodies.
-class CommCtx final : public RankCtx {
- public:
-  explicit CommCtx(simmpi::Comm& comm) : comm_(&comm) {}
-  int rank() const override { return comm_->rank(); }
-  int nranks() const override { return comm_->size(); }
-  void barrier() override { comm_->barrier(); }
-  std::uint64_t exscan_sum(std::uint64_t v) override {
-    return comm_->exscan_sum(v);
-  }
-  std::vector<std::uint64_t> gather(std::uint64_t v, int root) override {
-    return comm_->gather(v, root);
-  }
-  std::vector<std::byte> gatherv(std::span<const std::byte> bytes,
-                                 int root) override {
-    return comm_->gatherv(bytes, root);
-  }
-  void send_token(std::uint64_t value, int dest, int tag) override {
-    comm_->send(std::span<const std::uint64_t>(&value, 1), dest, tag);
-  }
-  std::uint64_t recv_token(int src, int tag) override {
-    return comm_->recv<std::uint64_t>(src, tag).at(0);
-  }
-  void send_bytes(std::span<const std::byte> data, int dest, int tag) override {
-    comm_->send(data, dest, tag);
-  }
-  std::vector<std::byte> recv_bytes(int src, int tag) override {
-    return comm_->recv<std::byte>(src, tag);
-  }
-
- private:
-  simmpi::Comm* comm_;
-};
-
-enum class EngineKind { kSerial, kSpmd, kEvent };
+enum class EngineKind { kSerial, kEvent };
 
 std::unique_ptr<Engine> make_engine(EngineKind kind, int nranks);
 
-/// CLI surface for the `--engine` knob: "serial" | "spmd" | "event".
+/// CLI surface for the `--engine` knob: "serial" | "event".
 /// Throws std::invalid_argument on anything else, naming the valid values.
 EngineKind engine_kind_from_name(const std::string& name);
 const char* engine_kind_name(EngineKind kind);

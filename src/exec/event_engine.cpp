@@ -41,7 +41,7 @@
 /// dependencies (which the MIF baton and aggregation protocols guarantee).
 ///
 /// Error semantics mirror SerialEngine: the first rank exception aborts the
-/// communicator, every blocked rank is resumed to throw simmpi::CommAborted,
+/// communicator, every blocked rank is resumed to throw RankAborted,
 /// and run() rethrows the original error once all ranks unwound. A deadlock
 /// (ready queue empty, every rank started, none done) is detected in O(1)
 /// and reported the same way.
@@ -387,7 +387,7 @@ struct EventState {
         // rank error set `aborted` and the blocked peers still need waking,
         // or this is a genuine deadlock. Either way, don't throw over the
         // suspended ranks (their locals would never be destructed) — resume
-        // each one to throw CommAborted internally. One broadcast suffices:
+        // each one to throw RankAborted internally. One broadcast suffices:
         // every suspension point re-checks the abort flag before blocking
         // again, so a second pass through this branch is an engine bug.
         if (abort_broadcast)
@@ -543,7 +543,7 @@ class EventCtx final : public RankCtx {
   }
 
   void check_abort() const {
-    if (st_->aborted) throw simmpi::CommAborted();
+    if (st_->aborted) throw RankAborted();
   }
 
   static void check_tag(int tag) {

@@ -2,32 +2,13 @@
 
 #include <algorithm>
 
-#include "obs/shard.hpp"
-
 namespace amrio::iostats {
 
-TraceRecorder::TraceRecorder(std::size_t nsinks) {
-  if (nsinks == 0) nsinks = 1;
-  sinks_.reserve(nsinks);
-  for (std::size_t i = 0; i < nsinks; ++i)
-    sinks_.push_back(std::make_unique<Sink>());
-}
-
-TraceRecorder::Sink& TraceRecorder::sink_for(int rank) {
-  // Mixed hash, not `rank % nsinks`: a plain modulo serializes stride-N rank
-  // patterns (every aggregator of a 64-group topology shares one sink).
-  return *sinks_[obs::rank_shard(rank, sinks_.size())];
-}
-
 void TraceRecorder::record(IoEvent event) {
-  if (event.op == IoEvent::Op::kWrite)
-    write_bytes_.fetch_add(event.bytes, std::memory_order_relaxed);
-  if (event.op == IoEvent::Op::kRead)
-    read_bytes_.fetch_add(event.bytes, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  Sink& sink = sink_for(event.rank);
-  std::lock_guard<std::mutex> lock(sink.mu);
-  sink.events.push_back(std::move(event));
+  std::lock_guard<std::mutex> lock(mu_);
+  if (event.op == IoEvent::Op::kWrite) write_bytes_ += event.bytes;
+  if (event.op == IoEvent::Op::kRead) read_bytes_ += event.bytes;
+  events_.push_back(std::move(event));
 }
 
 void TraceRecorder::record_write(std::int64_t step, int level, int rank,
@@ -101,12 +82,11 @@ void TraceRecorder::record_prefetch(std::int64_t step, int level, int rank,
 
 std::vector<IoEvent> TraceRecorder::events() const {
   std::vector<IoEvent> out;
-  for (const auto& sink : sinks_) {
-    std::lock_guard<std::mutex> lock(sink->mu);
-    out.insert(out.end(), sink->events.begin(), sink->events.end());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out = events_;
   }
-  // Stable: ties (same step+rank) keep per-rank recording order, because all
-  // events of one rank live in one sink and were appended in program order.
+  // Stable: ties (same step+rank) keep per-rank recording order.
   std::stable_sort(out.begin(), out.end(),
                    [](const IoEvent& a, const IoEvent& b) {
                      if (a.step != b.step) return a.step < b.step;
@@ -116,25 +96,25 @@ std::vector<IoEvent> TraceRecorder::events() const {
 }
 
 std::size_t TraceRecorder::size() const {
-  return count_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  return events_.size();
 }
 
 void TraceRecorder::clear() {
-  for (auto& sink : sinks_) {
-    std::lock_guard<std::mutex> lock(sink->mu);
-    sink->events.clear();
-  }
-  write_bytes_.store(0, std::memory_order_relaxed);
-  read_bytes_.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  events_.clear();
+  write_bytes_ = 0;
+  read_bytes_ = 0;
 }
 
 std::uint64_t TraceRecorder::total_bytes() const {
-  return write_bytes_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  return write_bytes_;
 }
 
 std::uint64_t TraceRecorder::total_read_bytes() const {
-  return read_bytes_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(mu_);
+  return read_bytes_;
 }
 
 }  // namespace amrio::iostats

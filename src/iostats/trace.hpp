@@ -6,16 +6,12 @@
 /// context so the characterization layer can aggregate output production at
 /// the paper's granularity (Fig. 2's hierarchy: per-step, per-level, per-task).
 ///
-/// Recording is contention-free on the writer hot path: events land in
-/// per-rank append sinks (rank-hash addressed, so concurrent simmpi ranks
-/// almost never share a lock) and are merged into one deterministic stream on
-/// snapshot. The merge is a stable sort on (step, rank), which preserves each
-/// rank's program order — so serial and SPMD executions of the same workload
-/// yield identical `events()` streams.
+/// Events land in one append log and are ordered into one deterministic
+/// stream on snapshot. The order is a stable sort on (step, rank), which
+/// preserves each rank's program order — so serial and event-engine
+/// executions of the same workload yield identical `events()` streams.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -50,17 +46,10 @@ struct IoEvent {
   double codec_seconds = 0.0;
 };
 
-/// Thread-safe append-only event log with per-rank sinks. Ranks are mapped
-/// to sinks through a mixed hash (obs::rank_shard), so strided rank patterns
-/// — e.g. the one-aggregator-every-64-ranks shape of a large aggregated dump
-/// — spread across sinks instead of serializing on one lock.
+/// Thread-safe append-only event log (one mutex — campaign cells record
+/// from worker threads).
 class TraceRecorder {
  public:
-  /// `nsinks` tunes the sink count; the 64-sink default is right for
-  /// hardware-thread-scale concurrency (SpmdEngine), and the serial/event
-  /// engines never contend at all.
-  explicit TraceRecorder(std::size_t nsinks = 64);
-
   void record(IoEvent event);
   void record_write(std::int64_t step, int level, int rank,
                     const std::string& path, std::uint64_t bytes);
@@ -95,25 +84,17 @@ class TraceRecorder {
   std::size_t size() const;
   void clear();
 
-  /// Sum of bytes over all write events (O(#sinks), no event walk).
+  /// Sum of bytes over all write events (a running counter, no event walk).
   std::uint64_t total_bytes() const;
   /// Sum of bytes over all read events — kept on its own counter so the
   /// write-side production totals stay unpolluted by restart read-back.
   std::uint64_t total_read_bytes() const;
 
-  std::size_t nsinks() const { return sinks_.size(); }
-
  private:
-  struct Sink {
-    mutable std::mutex mu;
-    std::vector<IoEvent> events;
-  };
-  Sink& sink_for(int rank);
-
-  std::vector<std::unique_ptr<Sink>> sinks_;
-  std::atomic<std::uint64_t> write_bytes_{0};
-  std::atomic<std::uint64_t> read_bytes_{0};
-  std::atomic<std::size_t> count_{0};
+  mutable std::mutex mu_;
+  std::vector<IoEvent> events_;
+  std::uint64_t write_bytes_ = 0;
+  std::uint64_t read_bytes_ = 0;
 };
 
 }  // namespace amrio::iostats

@@ -30,8 +30,12 @@ struct CalibrationResult {
 double series_objective(std::span<const double> proxy,
                         std::span<const double> target);
 
-/// Exact MACSio per-dump bytes for `params` (task docs + root metadata),
-/// computed through the serialization-size functions — no I/O performed.
+/// MACSio per-dump bytes of the task documents plus the root metadata for
+/// `params`, computed through the serialization-size functions — no I/O
+/// performed. Exact for unaggregated dumps. Under `aggregators > 0` the
+/// driver also writes a per-dump aggregation index that this does not count:
+/// add `macsio::aggregated_index_bytes(params)` (55 + 58·nprocs bytes) per
+/// dump for the full aggregated dump size.
 std::vector<double> macsio_per_dump_bytes(const macsio::Params& params);
 
 /// Calibrate dataset_growth in [lo, hi] so the proxy's per-dump series tracks

@@ -4,8 +4,8 @@
 /// log-bucketed histograms, and virtual-time series (BB occupancy, drain
 /// streams busy, queue depth, stall time).
 ///
-/// Determinism contract: snapshots must be identical across the serial, spmd,
-/// and event engines. Counters and histogram bucket counts are integer adds
+/// Determinism contract: snapshots must be identical across the serial and
+/// event engines. Counters and histogram bucket counts are integer adds
 /// (commutative, any interleaving yields the same totals). Histogram sums are
 /// quantized to integer units at `observe()` time (`llround(v / quantum)`) so
 /// float accumulation order can't leak engine scheduling into the snapshot.

@@ -3,48 +3,30 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/shard.hpp"
-
 namespace amrio::obs {
-
-Tracer::Tracer(std::size_t nsinks) {
-  if (nsinks == 0) nsinks = 1;
-  sinks_.reserve(nsinks);
-  for (std::size_t i = 0; i < nsinks; ++i)
-    sinks_.push_back(std::make_unique<Sink>());
-}
-
-Tracer::Sink& Tracer::sink_for(int rank) {
-  return *sinks_[rank_shard(rank, sinks_.size())];
-}
 
 std::uint64_t Tracer::record(Span s) {
   assert(s.end >= s.start);
-  Sink& sink = sink_for(s.rank);
-  std::lock_guard<std::mutex> lock(sink.mu);
-  const std::uint32_t seq = ++sink.next_seq[s.rank];
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::uint32_t seq = ++next_seq_[s.rank];
   s.id = (static_cast<std::uint64_t>(static_cast<std::int64_t>(s.rank) + 1)
           << 32) |
          seq;
   const std::uint64_t id = s.id;
-  sink.spans.push_back(std::move(s));
+  spans_.push_back(std::move(s));
   return id;
 }
 
 void Tracer::edge(std::uint64_t from, std::uint64_t to) {
-  // Shard by the from-id's rank track so edge recording is as contention-free
-  // as span recording.
-  const int rank = static_cast<int>(static_cast<std::int64_t>(from >> 32)) - 1;
-  Sink& sink = sink_for(rank);
-  std::lock_guard<std::mutex> lock(sink.mu);
-  sink.edges.push_back(SpanEdge{from, to});
+  std::lock_guard<std::mutex> lock(mu_);
+  edges_.push_back(SpanEdge{from, to});
 }
 
 std::vector<Span> Tracer::spans() const {
   std::vector<Span> out;
-  for (const auto& sink : sinks_) {
-    std::lock_guard<std::mutex> lock(sink->mu);
-    out.insert(out.end(), sink->spans.begin(), sink->spans.end());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out = spans_;
   }
   std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
     if (a.start != b.start) return a.start < b.start;
@@ -56,15 +38,22 @@ std::vector<Span> Tracer::spans() const {
 
 std::vector<SpanEdge> Tracer::edges() const {
   std::vector<SpanEdge> out;
-  for (const auto& sink : sinks_) {
-    std::lock_guard<std::mutex> lock(sink->mu);
-    out.insert(out.end(), sink->edges.begin(), sink->edges.end());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out = edges_;
   }
   std::sort(out.begin(), out.end(), [](const SpanEdge& a, const SpanEdge& b) {
     if (a.from != b.from) return a.from < b.from;
     return a.to < b.to;
   });
   return out;
+}
+
+void Tracer::clear() {
+  std::lock_guard<std::mutex> lock(mu_);
+  spans_.clear();
+  edges_.clear();
+  next_seq_.clear();
 }
 
 }  // namespace amrio::obs

@@ -6,15 +6,13 @@
 /// other spans by happens-before edges (absorb→drain, prefetch→bb_read).
 ///
 /// Determinism contract — the same one `iostats::TraceRecorder::events()`
-/// gives: ranks append to sharded, contention-free sinks; span ids are
-/// `(rank+1) << 32 | per-rank-seq`, so they depend only on per-rank program
-/// order (engine-invariant); `spans()` merges the sinks under a total order.
-/// The merged stream is byte-identical across the serial, spmd, and event
-/// engines for the same configuration.
+/// gives: span ids are `(rank+1) << 32 | per-rank-seq`, so they depend only
+/// on per-rank program order (engine-invariant), and `spans()` returns them
+/// under a total order. The snapshot is byte-identical across the serial and
+/// event engines for the same configuration.
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -73,35 +71,28 @@ class SpanSink {
   virtual void edge(std::uint64_t from, std::uint64_t to) = 0;
 };
 
-/// Contention-free span collector. Thread-safe: ranks hash to one of
-/// `nsinks` sinks (mixed hash, see shard.hpp) and only contend within a
-/// shard. Snapshot accessors merge deterministically.
+/// In-memory span collector. Thread-safe (one mutex — campaign cells record
+/// from worker threads); snapshot accessors sort deterministically.
 class Tracer : public SpanSink {
  public:
-  explicit Tracer(std::size_t nsinks = 64);
-
   std::uint64_t record(Span s) override;
 
   void edge(std::uint64_t from, std::uint64_t to) override;
 
-  /// Deterministic merged snapshot, ordered by (start, rank, id).
+  /// Deterministic snapshot, ordered by (start, rank, id).
   std::vector<Span> spans() const;
 
-  /// Deterministic merged edge list, ordered by (from, to).
+  /// Deterministic edge list, ordered by (from, to).
   std::vector<SpanEdge> edges() const;
 
-  std::size_t nsinks() const { return sinks_.size(); }
+  /// Drop every span and edge and restart the per-rank id sequences.
+  void clear();
 
  private:
-  struct Sink {
-    std::mutex mu;
-    std::vector<Span> spans;
-    std::vector<SpanEdge> edges;
-    std::map<int, std::uint32_t> next_seq;  // per-rank sequence numbers
-  };
-  Sink& sink_for(int rank);
-
-  std::vector<std::unique_ptr<Sink>> sinks_;
+  mutable std::mutex mu_;
+  std::vector<Span> spans_;
+  std::vector<SpanEdge> edges_;
+  std::map<int, std::uint32_t> next_seq_;  // per-rank sequence numbers
 };
 
 }  // namespace amrio::obs

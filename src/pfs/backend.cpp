@@ -1,8 +1,6 @@
 #include "pfs/backend.hpp"
 
-#include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <stdexcept>
 
 #include "util/assert.hpp"
@@ -32,18 +30,18 @@ std::vector<std::byte> StorageBackend::read_range(const std::string& path,
 
 // ---------------------------------------------------------------- Memory
 
-MemoryBackend::PathShard& MemoryBackend::path_shard(
+const MemoryBackend::FileRecord* MemoryBackend::find_locked(
     const std::string& path) const {
-  return path_shards_[std::hash<std::string>{}(path) % kPathShards];
+  const auto it = files_.find(path);
+  return it == files_.end() ? nullptr : &it->second;
 }
 
 FileHandle MemoryBackend::create(const std::string& path) {
   AMRIO_EXPECTS(!path.empty());
   FileRecord* rec = nullptr;
   {
-    PathShard& shard = path_shard(path);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    rec = &shard.files[path];
+    std::lock_guard<std::mutex> lock(mu_);
+    rec = &files_[path];
     // truncate semantics
     rec->bytes.store(0, std::memory_order_relaxed);
     rec->nwrites.store(0, std::memory_order_relaxed);
@@ -57,9 +55,8 @@ FileHandle MemoryBackend::open_append(const std::string& path) {
   AMRIO_EXPECTS(!path.empty());
   FileRecord* rec = nullptr;
   {
-    PathShard& shard = path_shard(path);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    rec = &shard.files[path];  // keep existing contents
+    std::lock_guard<std::mutex> lock(mu_);
+    rec = &files_[path];  // keep existing contents
   }
   return handles_.put(rec);
 }
@@ -82,59 +79,53 @@ void MemoryBackend::close(FileHandle handle) {
 }
 
 bool MemoryBackend::exists(const std::string& path) const {
-  PathShard& shard = path_shard(path);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.files.find(path) != shard.files.end();
+  std::lock_guard<std::mutex> lock(mu_);
+  return find_locked(path) != nullptr;
 }
 
 std::uint64_t MemoryBackend::size(const std::string& path) const {
-  PathShard& shard = path_shard(path);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.files.find(path);
-  if (it == shard.files.end())
+  std::lock_guard<std::mutex> lock(mu_);
+  const FileRecord* rec = find_locked(path);
+  if (rec == nullptr)
     throw std::runtime_error("MemoryBackend::size: no such file " + path);
-  return it->second.bytes.load(std::memory_order_relaxed);
+  return rec->bytes.load(std::memory_order_relaxed);
 }
 
 std::vector<std::string> MemoryBackend::list(const std::string& prefix) const {
+  // The map is path-ordered, so the matches are one contiguous sorted run.
   std::vector<std::string> out;
-  for (const auto& shard : path_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [path, rec] : shard.files) {
-      if (util::starts_with(path, prefix)) out.push_back(path);
-    }
-  }
-  std::sort(out.begin(), out.end());
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = files_.lower_bound(prefix);
+       it != files_.end() && util::starts_with(it->first, prefix); ++it)
+    out.push_back(it->first);
   return out;
 }
 
 std::vector<std::byte> MemoryBackend::read(const std::string& path) const {
-  PathShard& shard = path_shard(path);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.files.find(path);
-  if (it == shard.files.end())
+  std::lock_guard<std::mutex> lock(mu_);
+  const FileRecord* rec = find_locked(path);
+  if (rec == nullptr)
     throw std::runtime_error("MemoryBackend::read: no such file " + path);
-  if (!store_contents_ && it->second.bytes.load(std::memory_order_relaxed) > 0)
+  if (!store_contents_ && rec->bytes.load(std::memory_order_relaxed) > 0)
     throw std::runtime_error(
         "MemoryBackend::read: contents not retained (counting mode): " + path);
-  std::lock_guard<std::mutex> content_lock(it->second.content_mu);
-  return it->second.contents;
+  std::lock_guard<std::mutex> content_lock(rec->content_mu);
+  return rec->contents;
 }
 
 std::vector<std::byte> MemoryBackend::read_range(const std::string& path,
                                                  std::uint64_t offset,
                                                  std::uint64_t length) const {
-  PathShard& shard = path_shard(path);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.files.find(path);
-  if (it == shard.files.end())
+  std::lock_guard<std::mutex> lock(mu_);
+  const FileRecord* rec = find_locked(path);
+  if (rec == nullptr)
     throw std::runtime_error("MemoryBackend::read_range: no such file " + path);
-  if (!store_contents_ && it->second.bytes.load(std::memory_order_relaxed) > 0)
+  if (!store_contents_ && rec->bytes.load(std::memory_order_relaxed) > 0)
     throw std::runtime_error(
         "MemoryBackend::read_range: contents not retained (counting mode): " +
         path);
-  std::lock_guard<std::mutex> content_lock(it->second.content_mu);
-  const auto& contents = it->second.contents;
+  std::lock_guard<std::mutex> content_lock(rec->content_mu);
+  const auto& contents = rec->contents;
   if (offset + length > contents.size() || offset + length < offset)
     throw std::runtime_error("MemoryBackend::read_range: range past end of " +
                              path);
@@ -145,21 +136,15 @@ std::vector<std::byte> MemoryBackend::read_range(const std::string& path,
 
 std::uint64_t MemoryBackend::total_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& shard : path_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [path, rec] : shard.files)
-      total += rec.bytes.load(std::memory_order_relaxed);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [path, rec] : files_)
+    total += rec.bytes.load(std::memory_order_relaxed);
   return total;
 }
 
 std::uint64_t MemoryBackend::file_count() const {
-  std::uint64_t count = 0;
-  for (const auto& shard : path_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    count += shard.files.size();
-  }
-  return count;
+  std::lock_guard<std::mutex> lock(mu_);
+  return files_.size();
 }
 
 // ----------------------------------------------------------------- Posix

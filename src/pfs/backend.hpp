@@ -7,12 +7,10 @@
 /// the byte counts are identical, nothing hits disk.
 ///
 /// Paths are logical, '/'-separated, relative to the backend root. Backends
-/// are thread-safe and designed to be contention-free on the write hot path:
-/// simmpi ranks dumping N files concurrently (the paper's N-to-N pattern)
-/// never serialize on a shared lock. `MemoryBackend` shards its path table by
-/// path hash and its open-handle table by handle id, and file byte counters
-/// are atomics; `PosixBackend` gets the same handle-sharded treatment, with
-/// writes going straight to the handle's own `FILE*`.
+/// are thread-safe, and the write hot path takes no backend-wide lock: open
+/// handles live in a lock-free `detail::HandleTable` that points straight at
+/// the file's record (`MemoryBackend`, atomic byte counters) or `FILE*`
+/// (`PosixBackend`). Only create/open/lookup by path touch the path table.
 
 #include <array>
 #include <atomic>
@@ -160,11 +158,10 @@ class StorageBackend {
 /// In-memory backend. With `store_contents=false` it keeps only byte counts
 /// ("counting mode") so arbitrarily large dumps cost O(#files) memory.
 ///
-/// Concurrency: the path table is split into `kPathShards` independently
-/// locked shards (path-hash addressed); the open-handle table is a lock-free
-/// `detail::HandleTable`, so the per-write hot path is two atomic loads plus
-/// atomic counter bumps — no lock at all. Content appends (store mode) take
-/// a per-file mutex only.
+/// Concurrency: the path table is one map under one mutex; the open-handle
+/// table is a lock-free `detail::HandleTable`, so the per-write hot path is
+/// two atomic loads plus atomic counter bumps — no lock at all. Content
+/// appends (store mode) take a per-file mutex only.
 class MemoryBackend final : public StorageBackend {
  public:
   explicit MemoryBackend(bool store_contents = true)
@@ -189,8 +186,6 @@ class MemoryBackend final : public StorageBackend {
   bool stores_contents() const override { return store_contents_; }
 
  private:
-  static constexpr std::size_t kPathShards = 64;
-
   /// Lives in a std::map node — address-stable, so open handles hold a direct
   /// pointer and writes never re-walk the path table.
   struct FileRecord {
@@ -199,15 +194,12 @@ class MemoryBackend final : public StorageBackend {
     mutable std::mutex content_mu;
     std::vector<std::byte> contents;
   };
-  struct PathShard {
-    mutable std::mutex mu;
-    std::map<std::string, FileRecord> files;
-  };
-
-  PathShard& path_shard(const std::string& path) const;
+  /// The record at `path`, or nullptr. Caller holds mu_.
+  const FileRecord* find_locked(const std::string& path) const;
 
   bool store_contents_;
-  mutable std::array<PathShard, kPathShards> path_shards_;
+  mutable std::mutex mu_;
+  std::map<std::string, FileRecord> files_;
   detail::HandleTable<FileRecord> handles_;
 };
 

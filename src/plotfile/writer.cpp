@@ -286,8 +286,7 @@ std::vector<LevelLayout> layouts_of(const std::vector<LevelPlotData>& levels) {
 }
 
 /// The single SPMD write body shared by every execution mode: each rank
-/// writes its own Cell_D files (one per level where it owns grids, fully
-/// concurrent under an SPMD engine), per-rank byte counts are gathered to
+/// writes its own Cell_D files (one per level where it owns grids), per-rank byte counts are gathered to
 /// rank 0, and rank 0 writes all metadata. Rank 0 returns full statistics;
 /// other ranks return only their own contributions.
 WriteStats write_plotfile_rank(exec::RankCtx& ctx, pfs::StorageBackend& backend,
@@ -570,22 +569,6 @@ WriteStats write_checkpoint(pfs::StorageBackend& backend,
   exec::SerialEngine engine(engine_ranks_for(layouts));
   return write_on_engine(engine, backend, spec, levels, layouts, trace,
                          /*checkpoint=*/true);
-}
-
-WriteStats write_plotfile_spmd(simmpi::Comm& comm, pfs::StorageBackend& backend,
-                               const PlotfileSpec& spec,
-                               const std::vector<LevelPlotData>& levels,
-                               iostats::TraceRecorder* trace) {
-  const int ncomp = checked_ncomp(spec, levels, "plotfile");
-  const auto layouts = layouts_of(levels);
-  for (const auto& lay : layouts)
-    AMRIO_EXPECTS_MSG(lay.dm.nranks() == comm.size(),
-                      "write_plotfile_spmd: DM ranks " << lay.dm.nranks()
-                                                       << " != comm size "
-                                                       << comm.size());
-  exec::CommCtx ctx(comm);
-  return write_plotfile_rank(ctx, backend, spec, levels, layouts, ncomp, trace,
-                             /*checkpoint=*/false);
 }
 
 }  // namespace amrio::plotfile

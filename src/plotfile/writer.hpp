@@ -32,7 +32,6 @@
 #include "mesh/geometry.hpp"
 #include "mesh/multifab.hpp"
 #include "pfs/backend.hpp"
-#include "simmpi/comm.hpp"
 
 namespace amrio::plotfile {
 
@@ -89,8 +88,8 @@ struct WriteStats {
 
 /// Write a multi-level plotfile (the WriteMultiLevelPlotfile path the paper
 /// identifies in Castro) on an execution engine: each rank writes its own
-/// `Cell_D` files (concurrently under `exec::SpmdEngine`, as fibers under
-/// `exec::SerialEngine`), per-rank byte counts are gathered to rank 0, which
+/// `Cell_D` files (as fibers under `exec::SerialEngine`, as discrete events
+/// under `exec::EventEngine`), per-rank byte counts are gathered to rank 0, which
 /// writes all metadata. One write body serves every execution mode, so the
 /// engines are byte-identical by construction. Events are recorded into
 /// `trace` when given, keyed by (spec.step, level, rank); metadata uses
@@ -120,16 +119,6 @@ WriteStats write_checkpoint(pfs::StorageBackend& backend,
                             const PlotfileSpec& spec,
                             const std::vector<LevelPlotData>& levels,
                             iostats::TraceRecorder* trace = nullptr);
-
-/// Per-rank entry point for code already inside simmpi::run_spmd
-/// (comm.size() must equal the DistributionMapping rank count). Runs the
-/// same write body as the engine overloads; rank 0 returns the full
-/// statistics, other ranks return stats with only their own contributions.
-/// Byte-identical to write_plotfile (tested).
-WriteStats write_plotfile_spmd(simmpi::Comm& comm, pfs::StorageBackend& backend,
-                               const PlotfileSpec& spec,
-                               const std::vector<LevelPlotData>& levels,
-                               iostats::TraceRecorder* trace = nullptr);
 
 /// Fixed-width (26 char) scientific rendering used for all reals in metadata.
 std::string fixed_real(double v);

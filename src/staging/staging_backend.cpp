@@ -38,7 +38,7 @@ pfs::FileHandle StagingBackend::open_append(const std::string& path) {
 void StagingBackend::write(pfs::FileHandle handle,
                            std::span<const std::byte> data) {
   stage_->write(handle, data);
-  // Commutative add only: ranks absorb concurrently under SpmdEngine.
+  // Commutative add only: the snapshot must not depend on rank order.
   if (probe_.metrics)
     probe_.metrics->add("staging.absorb_bytes",
                         static_cast<std::int64_t>(data.size()));

@@ -8,6 +8,30 @@
 
 namespace amrio::util {
 
+// Leading whitespace is allowed (as the std conversions do); anything left
+// unparsed is not.
+std::int64_t parse_int(const std::string& text, const std::string& name) {
+  std::size_t pos = 0;
+  try {
+    const std::int64_t v = std::stoll(text, &pos);
+    if (pos == text.size()) return v;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("--" + name + " expects an integer, got '" +
+                              text + "'");
+}
+
+double parse_double(const std::string& text, const std::string& name) {
+  std::size_t pos = 0;
+  try {
+    const double v = std::stod(text, &pos);
+    if (pos == text.size()) return v;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("--" + name + " expects a number, got '" + text +
+                              "'");
+}
+
 void ArgParser::add_option(const std::string& name, const std::string& help,
                            int nvalues, std::optional<std::string> default_value) {
   AMRIO_EXPECTS(nvalues >= 1);
@@ -118,24 +142,24 @@ std::vector<std::string> ArgParser::get_all(const std::string& name) const {
 }
 
 std::int64_t ArgParser::get_int(const std::string& name) const {
-  return std::stoll(get(name));
+  return parse_int(get(name), name);
 }
 
 std::int64_t ArgParser::get_int_or(const std::string& name,
                                    std::int64_t fallback) const {
   const Option& opt = find(name);
   if (!opt.seen && !opt.default_value) return fallback;
-  return std::stoll(get(name));
+  return parse_int(get(name), name);
 }
 
 double ArgParser::get_double(const std::string& name) const {
-  return std::stod(get(name));
+  return parse_double(get(name), name);
 }
 
 double ArgParser::get_double_or(const std::string& name, double fallback) const {
   const Option& opt = find(name);
   if (!opt.seen && !opt.default_value) return fallback;
-  return std::stod(get(name));
+  return parse_double(get(name), name);
 }
 
 bool ArgParser::flag(const std::string& name) const { return find(name).seen; }

@@ -12,6 +12,12 @@
 
 namespace amrio::util {
 
+/// Strict numeric parse of the value of option `--name`: the whole of `text`
+/// must be one number ("2x", "" and "foo" are rejected). Throws
+/// std::invalid_argument naming the option.
+std::int64_t parse_int(const std::string& text, const std::string& name);
+double parse_double(const std::string& text, const std::string& name);
+
 class ArgParser {
  public:
   ArgParser(std::string program, std::string description)
@@ -34,6 +40,7 @@ class ArgParser {
   std::string get_or(const std::string& name, const std::string& fallback) const;
   std::vector<std::string> get_all(const std::string& name) const;
 
+  /// Numeric getters parse strictly (see parse_int / parse_double).
   std::int64_t get_int(const std::string& name) const;
   std::int64_t get_int_or(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name) const;

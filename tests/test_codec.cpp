@@ -6,7 +6,7 @@
 /// task_doc_bytes() while the wire/tier carries encoded bytes, store-mode
 /// drains through StagingBackend stay reader-compatible, and the plotfile
 /// per-Cell_D hook keeps predict parity. Engine-facing cases run on both
-/// SerialEngine and SpmdEngine.
+/// SerialEngine and EventEngine.
 
 #include <gtest/gtest.h>
 
@@ -411,9 +411,9 @@ TEST(CodecMacsioEngines, EblRunsAreByteIdenticalAcrossEngines) {
   ex::SerialEngine serial(params.nprocs);
   const auto ref = mc::run_macsio(serial, params, serial_be);
 
-  p::MemoryBackend spmd_be(true);
-  ex::SpmdEngine spmd(params.nprocs);
-  const auto got = mc::run_macsio(spmd, params, spmd_be);
+  p::MemoryBackend event_be(true);
+  ex::EventEngine event(params.nprocs);
+  const auto got = mc::run_macsio(event, params, event_be);
 
   EXPECT_EQ(got.total_bytes, ref.total_bytes);
   EXPECT_EQ(got.bytes_per_dump, ref.bytes_per_dump);
@@ -421,14 +421,14 @@ TEST(CodecMacsioEngines, EblRunsAreByteIdenticalAcrossEngines) {
   EXPECT_EQ(got.codec.total.raw_bytes, ref.codec.total.raw_bytes);
   EXPECT_EQ(got.codec.total.encoded_bytes, ref.codec.total.encoded_bytes);
   const auto paths = serial_be.list("");
-  ASSERT_EQ(paths, spmd_be.list(""));
+  ASSERT_EQ(paths, event_be.list(""));
   for (const auto& path : paths)
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+    EXPECT_EQ(event_be.read(path), serial_be.read(path)) << path;
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CodecMacsio,
                          ::testing::Values(ex::EngineKind::kSerial,
-                                           ex::EngineKind::kSpmd));
+                                           ex::EngineKind::kEvent));
 
 // ------------------------------------------------ StagingBackend round trip
 
@@ -655,4 +655,4 @@ TEST_P(CodecPlotfile, AutoSmoothnessReadsRealFabData) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, CodecPlotfile,
                          ::testing::Values(ex::EngineKind::kSerial,
-                                           ex::EngineKind::kSpmd));
+                                           ex::EngineKind::kEvent));

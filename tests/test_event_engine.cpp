@@ -1,15 +1,13 @@
 /// Tests for exec::EventEngine (the discrete-event engine for machine-scale
 /// rank counts) beyond the shared EngineCollectives suite in test_exec.cpp:
-/// the three-way engine-parity matrix — serial vs spmd vs event over
-/// MIF/SIF × {direct, agg, bb} × {identity, ebl} at 32 ranks, write AND
-/// restart, byte-identical documents and identical stats — plus the
-/// SpmdEngine thread cap, deadlock detection, determinism, the --engine CLI
-/// surface, the StudyOptions composition through core::proxy_study, and a
+/// the two-way engine-parity matrix — serial vs event over MIF/SIF ×
+/// {direct, agg, bb} × {identity, ebl} at 32 ranks, write AND restart,
+/// byte-identical documents and identical stats — plus deadlock detection,
+/// determinism, the --engine CLI surface, the StudyOptions composition through core::proxy_study, and a
 /// large-rank smoke run.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -164,22 +162,18 @@ void expect_parity(const EngineRunResult& got, const p::MemoryBackend& got_be,
 
 }  // namespace
 
-// --------------------------------------------- three-way engine parity
+// ----------------------------------------------- two-way engine parity
 
-class ThreeWayParity
+class TwoWayParity
     : public ::testing::TestWithParam<
           std::tuple<mc::FileMode, Staging, std::string>> {};
 
-TEST_P(ThreeWayParity, SerialSpmdEventAgreeOnWriteAndRestart) {
+TEST_P(TwoWayParity, SerialEventAgreeOnWriteAndRestart) {
   const auto [mode, staging, codec] = GetParam();
   const auto params = matrix_params(mode, staging, codec);
 
   p::MemoryBackend serial_be(true);
   const auto ref = run_matrix_point(ex::EngineKind::kSerial, params, serial_be);
-
-  p::MemoryBackend spmd_be(true);
-  const auto spmd = run_matrix_point(ex::EngineKind::kSpmd, params, spmd_be);
-  expect_parity(spmd, spmd_be, ref, serial_be);
 
   p::MemoryBackend event_be(true);
   const auto event = run_matrix_point(ex::EngineKind::kEvent, params, event_be);
@@ -187,7 +181,7 @@ TEST_P(ThreeWayParity, SerialSpmdEventAgreeOnWriteAndRestart) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Matrix, ThreeWayParity,
+    Matrix, TwoWayParity,
     ::testing::Values(
         // MIF × {direct, agg, bb} × {identity, ebl}
         std::tuple{mc::FileMode::kMif, Staging::kDirect, std::string("identity")},
@@ -317,37 +311,12 @@ TEST(EventEngine, RejectsOutOfRangeTags) {
                amrio::ContractViolation);
 }
 
-// ------------------------------------------------------ spmd thread cap
-
-TEST(SpmdEngine, FailsFastAboveThreadCap) {
-  // Configurable cap: above it the constructor must throw with a message
-  // that points at --engine=event, instead of exhausting the machine on
-  // pthread_create mid-run.
-  ASSERT_EQ(setenv("AMRIO_SPMD_THREAD_CAP", "8", 1), 0);
-  EXPECT_EQ(ex::SpmdEngine::thread_cap(), 8);
-  try {
-    ex::SpmdEngine engine(9);
-    FAIL() << "expected the thread cap to reject 9 ranks";
-  } catch (const amrio::ContractViolation& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("--engine=event"), std::string::npos) << what;
-    EXPECT_NE(what.find("thread cap"), std::string::npos) << what;
-  }
-  // at the cap is fine
-  ex::SpmdEngine ok(8);
-  EXPECT_EQ(ok.nranks(), 8);
-  ASSERT_EQ(unsetenv("AMRIO_SPMD_THREAD_CAP"), 0);
-  EXPECT_EQ(ex::SpmdEngine::thread_cap(), 1024);  // default restored
-}
-
 // ------------------------------------------------------- CLI surface
 
 TEST(EngineKindCli, NamesRoundTrip) {
   EXPECT_EQ(ex::engine_kind_from_name("serial"), ex::EngineKind::kSerial);
-  EXPECT_EQ(ex::engine_kind_from_name("spmd"), ex::EngineKind::kSpmd);
   EXPECT_EQ(ex::engine_kind_from_name("event"), ex::EngineKind::kEvent);
-  for (const auto kind : {ex::EngineKind::kSerial, ex::EngineKind::kSpmd,
-                          ex::EngineKind::kEvent}) {
+  for (const auto kind : {ex::EngineKind::kSerial, ex::EngineKind::kEvent}) {
     EXPECT_EQ(ex::engine_kind_from_name(ex::engine_kind_name(kind)), kind);
     EXPECT_STREQ(ex::make_engine(kind, 2)->name(), ex::engine_kind_name(kind));
   }
@@ -356,6 +325,14 @@ TEST(EngineKindCli, NamesRoundTrip) {
 TEST(EngineKindCli, UnknownNameThrows) {
   EXPECT_THROW(ex::engine_kind_from_name("fiber"), std::invalid_argument);
   EXPECT_THROW(ex::engine_kind_from_name(""), std::invalid_argument);
+  // the thread-per-rank engine is gone; its name fails like any other
+  try {
+    ex::engine_kind_from_name("spmd");
+    FAIL() << "spmd is not an engine";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("serial, event"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------- study options compose (satellite)

@@ -1,7 +1,8 @@
 /// Tests for the unified execution engine (exec::SerialEngine fibers,
-/// exec::SpmdEngine threads): collective semantics, error propagation, and
-/// the headline guarantee — serial and SPMD executions of the MACSio and
-/// plotfile drivers are byte-identical because they run the same body.
+/// exec::EventEngine discrete events): collective semantics, error
+/// propagation, and the headline guarantee — serial and event executions of
+/// the MACSio and plotfile drivers are byte-identical because they run the
+/// same body.
 
 #include <gtest/gtest.h>
 
@@ -116,7 +117,6 @@ TEST_P(EngineCollectives, RankExceptionPropagates) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, EngineCollectives,
                          ::testing::Values(ex::EngineKind::kSerial,
-                                           ex::EngineKind::kSpmd,
                                            ex::EngineKind::kEvent));
 
 TEST(SerialEngine, DeterministicSchedule) {
@@ -174,10 +174,10 @@ void expect_backends_equal(const p::StorageBackend& a,
 class EngineParity
     : public ::testing::TestWithParam<std::tuple<mc::FileMode, int>> {};
 
-/// The stress test of the contention-free substrate: 32+ ranks dumping
-/// concurrently (MIF N-to-N, grouped MIF, and SIF open_append chains)
-/// through both backends must match the serial engine byte for byte.
-TEST_P(EngineParity, SpmdMatchesSerialOnMemoryBackend) {
+/// The two-scheduler parity stress test: 32 ranks dumping (MIF N-to-N,
+/// grouped MIF, and SIF open_append chains) through both backends must
+/// match byte for byte whichever scheduler interleaves them.
+TEST_P(EngineParity, EventMatchesSerialOnMemoryBackend) {
   const auto [mode, mif_files] = GetParam();
   const auto params = stress_params(mode, /*nprocs=*/32, mif_files);
 
@@ -185,39 +185,39 @@ TEST_P(EngineParity, SpmdMatchesSerialOnMemoryBackend) {
   ex::SerialEngine serial(params.nprocs);
   const auto ref = mc::run_macsio(serial, params, serial_be);
 
-  p::MemoryBackend spmd_be(false);
-  ex::SpmdEngine spmd(params.nprocs);
-  const auto got = mc::run_macsio(spmd, params, spmd_be);
+  p::MemoryBackend event_be(false);
+  ex::EventEngine event(params.nprocs);
+  const auto got = mc::run_macsio(event, params, event_be);
 
   EXPECT_EQ(got.total_bytes, ref.total_bytes);
   EXPECT_EQ(got.nfiles, ref.nfiles);
   EXPECT_EQ(got.bytes_per_dump, ref.bytes_per_dump);
   EXPECT_EQ(got.task_bytes, ref.task_bytes);
-  expect_backends_equal(spmd_be, serial_be);
+  expect_backends_equal(event_be, serial_be);
   EXPECT_EQ(ref.total_bytes, serial_be.total_bytes());
   EXPECT_EQ(ref.nfiles, serial_be.file_count());
 }
 
-TEST_P(EngineParity, SpmdMatchesSerialOnPosixBackend) {
+TEST_P(EngineParity, EventMatchesSerialOnPosixBackend) {
   const auto [mode, mif_files] = GetParam();
   const auto params = stress_params(mode, /*nprocs=*/32, mif_files);
 
   const std::string root_a = amrio::util::make_temp_dir("amrio_exec_serial");
-  const std::string root_b = amrio::util::make_temp_dir("amrio_exec_spmd");
+  const std::string root_b = amrio::util::make_temp_dir("amrio_exec_event");
   {
     p::PosixBackend serial_be(root_a);
     ex::SerialEngine serial(params.nprocs);
     const auto ref = mc::run_macsio(serial, params, serial_be);
 
-    p::PosixBackend spmd_be(root_b);
-    ex::SpmdEngine spmd(params.nprocs);
-    const auto got = mc::run_macsio(spmd, params, spmd_be);
+    p::PosixBackend event_be(root_b);
+    ex::EventEngine event(params.nprocs);
+    const auto got = mc::run_macsio(event, params, event_be);
 
     EXPECT_EQ(got.total_bytes, ref.total_bytes);
     EXPECT_EQ(got.nfiles, ref.nfiles);
-    expect_backends_equal(spmd_be, serial_be);
+    expect_backends_equal(event_be, serial_be);
     for (const auto& path : serial_be.list(""))
-      EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+      EXPECT_EQ(event_be.read(path), serial_be.read(path)) << path;
   }
   amrio::util::remove_all(root_a);
   amrio::util::remove_all(root_b);
@@ -235,26 +235,26 @@ TEST(EngineParity, StoredContentsIdenticalAcrossEngines) {
   ex::SerialEngine serial(params.nprocs);
   mc::run_macsio(serial, params, serial_be);
 
-  p::MemoryBackend spmd_be(true);
-  ex::SpmdEngine spmd(params.nprocs);
-  mc::run_macsio(spmd, params, spmd_be);
+  p::MemoryBackend event_be(true);
+  ex::EventEngine event(params.nprocs);
+  mc::run_macsio(event, params, event_be);
 
   for (const auto& path : serial_be.list(""))
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+    EXPECT_EQ(event_be.read(path), serial_be.read(path)) << path;
 }
 
 TEST(EngineParity, TraceStreamsIdenticalAcrossEngines) {
-  // per-rank sinks + (step, rank) stable merge ⇒ the merged event stream is
-  // engine-independent, event by event
+  // (step, rank) stable order ⇒ the event stream is engine-independent,
+  // event by event
   const auto params = stress_params(mc::FileMode::kMif, 16, 0);
   p::MemoryBackend be_a(false);
   p::MemoryBackend be_b(false);
   amrio::iostats::TraceRecorder tr_a;
   amrio::iostats::TraceRecorder tr_b;
   ex::SerialEngine serial(params.nprocs);
-  ex::SpmdEngine spmd(params.nprocs);
+  ex::EventEngine event(params.nprocs);
   mc::run_macsio(serial, params, be_a, &tr_a);
-  mc::run_macsio(spmd, params, be_b, &tr_b);
+  mc::run_macsio(event, params, be_b, &tr_b);
 
   const auto ea = tr_a.events();
   const auto eb = tr_b.events();
@@ -290,18 +290,18 @@ TEST(EngineParity, PlotfileWriteIdenticalAcrossEngines) {
   ex::SerialEngine serial(nranks);
   const auto ref = pf::write_plotfile(serial, serial_be, spec, {{geom, &mf}});
 
-  p::MemoryBackend spmd_be(true);
-  ex::SpmdEngine spmd(nranks);
-  const auto got = pf::write_plotfile(spmd, spmd_be, spec, {{geom, &mf}});
+  p::MemoryBackend event_be(true);
+  ex::EventEngine event(nranks);
+  const auto got = pf::write_plotfile(event, event_be, spec, {{geom, &mf}});
 
   EXPECT_EQ(got.total_bytes, ref.total_bytes);
   EXPECT_EQ(got.metadata_bytes, ref.metadata_bytes);
   EXPECT_EQ(got.data_bytes, ref.data_bytes);
   EXPECT_EQ(got.nfiles, ref.nfiles);
   EXPECT_EQ(got.rank_level_bytes, ref.rank_level_bytes);
-  expect_backends_equal(spmd_be, serial_be);
+  expect_backends_equal(event_be, serial_be);
   for (const auto& path : serial_be.list(""))
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+    EXPECT_EQ(event_be.read(path), serial_be.read(path)) << path;
 }
 
 // ----------------------------------------------------- OutFile move state

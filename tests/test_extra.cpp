@@ -1,12 +1,13 @@
 /// Corner-case batch: behaviours not covered by the per-module suites —
-/// pretty JSON, OutFile move semantics, checkpoint read-back, SPMD writer
-/// with rank gaps, SFC locality, timeline overlap accounting, growth-guess
+/// pretty JSON, OutFile move semantics, checkpoint read-back, event-engine
+/// writer with rank gaps, SFC locality, timeline overlap accounting, growth-guess
 /// trends, and Eq. (1) metadata bookkeeping.
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "exec/engine.hpp"
 #include "iostats/aggregate.hpp"
 #include "mesh/distribution.hpp"
 #include "mesh/morton.hpp"
@@ -14,7 +15,6 @@
 #include "pfs/timeline.hpp"
 #include "plotfile/reader.hpp"
 #include "plotfile/writer.hpp"
-#include "simmpi/comm.hpp"
 #include "util/format.hpp"
 #include "util/json.hpp"
 
@@ -73,7 +73,7 @@ TEST(Checkpoint, ReadsBackThroughPlotfileReader) {
   EXPECT_DOUBLE_EQ(back.levels[0].fabs[0]({4, 4}, 0), 3.5);
 }
 
-TEST(SpmdWriter, RanksWithoutBoxesWriteNothing) {
+TEST(EventWriter, RanksWithoutBoxesWriteNothing) {
   // 1 box over 4 ranks: ranks 1..3 own nothing at that level
   m::BoxArray ba(m::Box(0, 0, 7, 7));
   auto dm = m::DistributionMapping::make(ba, 4, m::DistributionStrategy::kSfc);
@@ -83,9 +83,8 @@ TEST(SpmdWriter, RanksWithoutBoxesWriteNothing) {
   spec.dir = "gap_plt00000";
   spec.var_names = {"v"};
   p::MemoryBackend be(false);
-  amrio::simmpi::run_spmd(4, [&](amrio::simmpi::Comm& comm) {
-    pf::write_plotfile_spmd(comm, be, spec, {{geom, &mf}});
-  });
+  amrio::exec::EventEngine engine(4);
+  pf::write_plotfile(engine, be, spec, {{geom, &mf}});
   int cell_d_files = 0;
   for (const auto& path : be.list("gap_plt00000/Level_0"))
     if (path.find("Cell_D_") != std::string::npos) ++cell_d_files;
@@ -161,15 +160,6 @@ TEST(Morton, CurveVisitsQuadrantsInOrder) {
       min_ur = std::min(min_ur, m::morton_encode(i + 2, j + 2));
     }
   EXPECT_LT(max_ll, min_ur);
-}
-
-TEST(Comm, BcastLargePayload) {
-  amrio::simmpi::run_spmd(3, [](amrio::simmpi::Comm& comm) {
-    std::vector<double> data(10000, comm.rank() == 1 ? 3.25 : 0.0);
-    comm.bcast(std::span<double>(data), 1);
-    EXPECT_DOUBLE_EQ(data.front(), 3.25);
-    EXPECT_DOUBLE_EQ(data.back(), 3.25);
-  });
 }
 
 TEST(Geometry, RefineChainsCompose) {

@@ -1,17 +1,17 @@
 /// Tests for the MACSio-compatible proxy: CLI round-trip (Table II args),
 /// part sizing, interface byte-exactness, growth series, the Fig. 3 output
-/// pattern, MIF/SIF modes, and serial-vs-SPMD equivalence.
+/// pattern, MIF/SIF modes, and serial-vs-event engine equivalence.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "exec/engine.hpp"
 #include "iostats/aggregate.hpp"
 #include "macsio/driver.hpp"
 #include "macsio/interfaces.hpp"
 #include "macsio/params.hpp"
 #include "macsio/part.hpp"
-#include "simmpi/comm.hpp"
 #include "util/assert.hpp"
 
 namespace mc = amrio::macsio;
@@ -326,9 +326,9 @@ TEST(Driver, MetaSizeAddsPerTaskBytes) {
               2 * 10000.0, 64.0);
 }
 
-// ------------------------------------------------------------------ SPMD
+// ---------------------------------------------------------- event engine
 
-TEST(DriverSpmd, MatchesSerialByteForByte) {
+TEST(DriverEvent, MatchesSerialByteForByte) {
   mc::Params params;
   params.nprocs = 4;
   params.num_dumps = 2;
@@ -339,27 +339,24 @@ TEST(DriverSpmd, MatchesSerialByteForByte) {
   p::MemoryBackend serial_be(false);
   const auto serial = mc::run_macsio(params, serial_be);
 
-  p::MemoryBackend spmd_be(false);
-  mc::DumpStats spmd;
-  amrio::simmpi::run_spmd(4, [&](amrio::simmpi::Comm& comm) {
-    auto stats = mc::run_macsio_spmd(comm, params, spmd_be);
-    if (comm.rank() == 0) spmd = std::move(stats);
-  });
+  p::MemoryBackend event_be(false);
+  amrio::exec::EventEngine engine(4);
+  const auto event = mc::run_macsio(engine, params, event_be);
 
-  EXPECT_EQ(spmd.total_bytes, serial.total_bytes);
-  EXPECT_EQ(spmd.nfiles, serial.nfiles);
-  ASSERT_EQ(spmd.task_bytes.size(), serial.task_bytes.size());
-  for (std::size_t d = 0; d < spmd.task_bytes.size(); ++d)
-    EXPECT_EQ(spmd.task_bytes[d], serial.task_bytes[d]) << "dump " << d;
+  EXPECT_EQ(event.total_bytes, serial.total_bytes);
+  EXPECT_EQ(event.nfiles, serial.nfiles);
+  ASSERT_EQ(event.task_bytes.size(), serial.task_bytes.size());
+  for (std::size_t d = 0; d < event.task_bytes.size(); ++d)
+    EXPECT_EQ(event.task_bytes[d], serial.task_bytes[d]) << "dump " << d;
   // identical backend contents (paths + sizes)
-  EXPECT_EQ(spmd_be.list(""), serial_be.list(""));
+  EXPECT_EQ(event_be.list(""), serial_be.list(""));
   for (const auto& path : serial_be.list(""))
-    EXPECT_EQ(spmd_be.size(path), serial_be.size(path)) << path;
+    EXPECT_EQ(event_be.size(path), serial_be.size(path)) << path;
 }
 
-TEST(DriverSpmd, MifGroupBatonOrdering) {
-  // grouped MIF in SPMD: group members append in rank order; totals must
-  // match the serial driver
+TEST(DriverEvent, MifGroupBatonOrdering) {
+  // grouped MIF on the event engine: group members append in rank order;
+  // contents must match the serial driver
   mc::Params params;
   params.nprocs = 6;
   params.mif_files = 2;
@@ -368,23 +365,18 @@ TEST(DriverSpmd, MifGroupBatonOrdering) {
 
   p::MemoryBackend serial_be(true);
   mc::run_macsio(params, serial_be);
-  p::MemoryBackend spmd_be(true);
-  amrio::simmpi::run_spmd(6, [&](amrio::simmpi::Comm& comm) {
-    mc::run_macsio_spmd(comm, params, spmd_be);
-  });
+  p::MemoryBackend event_be(true);
+  amrio::exec::EventEngine engine(6);
+  mc::run_macsio(engine, params, event_be);
   for (const auto& path : serial_be.list("")) {
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+    EXPECT_EQ(event_be.read(path), serial_be.read(path)) << path;
   }
 }
 
-TEST(DriverSpmd, WrongCommSizeRejected) {
+TEST(DriverEvent, WrongEngineSizeRejected) {
   mc::Params params;
   params.nprocs = 3;
   p::MemoryBackend be(false);
-  EXPECT_THROW(amrio::simmpi::run_spmd(
-                   2,
-                   [&](amrio::simmpi::Comm& comm) {
-                     mc::run_macsio_spmd(comm, params, be);
-                   }),
-               amrio::ContractViolation);
+  amrio::exec::EventEngine engine(2);
+  EXPECT_THROW(mc::run_macsio(engine, params, be), amrio::ContractViolation);
 }

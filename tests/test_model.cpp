@@ -184,6 +184,30 @@ TEST(Calibrate, PerDumpBytesMatchDriverExactly) {
   }
 }
 
+TEST(Calibrate, AggregatedPerDumpBytesAddTheIndex) {
+  // under --aggregators the driver also writes a 55+58*nprocs-byte index
+  // per dump, which macsio_per_dump_bytes does not count: the dump is the
+  // model's bytes plus exactly aggregated_index_bytes
+  amrio::macsio::Params p;
+  p.nprocs = 16;
+  p.aggregators = 4;
+  p.part_size = 5000;
+  p.num_dumps = 3;
+  p.dataset_growth = 1.05;
+  p.meta_size = 9;
+  const auto predicted = md::macsio_per_dump_bytes(p);
+  const std::uint64_t index = amrio::macsio::aggregated_index_bytes(p);
+  EXPECT_EQ(index, 55u + 58u * 16u);
+  amrio::pfs::MemoryBackend be(false);
+  const auto stats = amrio::macsio::run_macsio(p, be);
+  ASSERT_EQ(predicted.size(), stats.bytes_per_dump.size());
+  for (std::size_t d = 0; d < predicted.size(); ++d) {
+    EXPECT_DOUBLE_EQ(predicted[d] + static_cast<double>(index),
+                     static_cast<double>(stats.bytes_per_dump[d]))
+        << "dump " << d;
+  }
+}
+
 TEST(Calibrate, RejectsNonPositiveTargets) {
   amrio::macsio::Params base;
   std::vector<double> bad{100.0, 0.0};

@@ -293,7 +293,7 @@ TEST(SimFs, ReadTiesOnASharedExtentSerializeInClientFileOrder) {
   // must serialize per the documented (client, file) tie order, independent
   // of request-list order — the guarantee that makes engine-generated
   // restart request streams replay identically (the engine-parity side is
-  // pinned by tests/test_restart.cpp over SerialEngine and SpmdEngine).
+  // pinned by tests/test_restart.cpp over SerialEngine and EventEngine).
   p::SimFsConfig cfg;
   cfg.mds_latency = 0.01;
   std::vector<p::IoRequest> forward;

@@ -1,6 +1,6 @@
 /// Property-based sweeps over randomized inputs (seeded, deterministic):
 ///  * predict_plotfile == write_plotfile over random hierarchies;
-///  * SPMD writer == serial writer over rank counts;
+///  * event-engine writer == serial writer over random hierarchies;
 ///  * scanner ⟷ trace agreement;
 ///  * Berger–Rigoutsos coverage/disjointness over random tag fields;
 ///  * MACSio sizing identities over random parameter draws;
@@ -11,13 +11,13 @@
 #include <cmath>
 
 #include "amr/cluster.hpp"
+#include "exec/engine.hpp"
 #include "iostats/aggregate.hpp"
 #include "macsio/driver.hpp"
 #include "model/calibrate.hpp"
 #include "pfs/simfs.hpp"
 #include "plotfile/scanner.hpp"
 #include "plotfile/writer.hpp"
-#include "simmpi/comm.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
 
@@ -99,7 +99,7 @@ TEST_P(HierarchyProperty, PredictEqualsWrite) {
   }
 }
 
-TEST_P(HierarchyProperty, SpmdWriterMatchesSerial) {
+TEST_P(HierarchyProperty, EventWriterMatchesSerial) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   const int nranks = 4;
   RandomHierarchy h(seed * 97 + 7, nranks);
@@ -107,17 +107,14 @@ TEST_P(HierarchyProperty, SpmdWriterMatchesSerial) {
   p::MemoryBackend serial_be(true);
   const auto serial = pf::write_plotfile(serial_be, h.spec(0), h.levels);
 
-  p::MemoryBackend spmd_be(true);
-  pf::WriteStats spmd;
-  amrio::simmpi::run_spmd(nranks, [&](amrio::simmpi::Comm& comm) {
-    auto stats = pf::write_plotfile_spmd(comm, spmd_be, h.spec(0), h.levels);
-    if (comm.rank() == 0) spmd = std::move(stats);
-  });
-  EXPECT_EQ(spmd.total_bytes, serial.total_bytes);
-  EXPECT_EQ(spmd.rank_level_bytes, serial.rank_level_bytes);
-  ASSERT_EQ(spmd_be.list(""), serial_be.list(""));
+  p::MemoryBackend event_be(true);
+  amrio::exec::EventEngine engine(nranks);
+  const auto event = pf::write_plotfile(engine, event_be, h.spec(0), h.levels);
+  EXPECT_EQ(event.total_bytes, serial.total_bytes);
+  EXPECT_EQ(event.rank_level_bytes, serial.rank_level_bytes);
+  ASSERT_EQ(event_be.list(""), serial_be.list(""));
   for (const auto& path : serial_be.list(""))
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+    EXPECT_EQ(event_be.read(path), serial_be.read(path)) << path;
 }
 
 TEST_P(HierarchyProperty, ScannerMatchesTrace) {

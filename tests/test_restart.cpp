@@ -172,7 +172,7 @@ TEST_P(ScattervGroup, FansPayloadsBackOutInMemberOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ScattervGroup,
                          ::testing::Values(ex::EngineKind::kSerial,
-                                           ex::EngineKind::kSpmd));
+                                           ex::EngineKind::kEvent));
 
 // ----------------------------------------------------- codec decode model
 
@@ -452,7 +452,7 @@ TEST_P(MacsioRestart, AccountingBackendKeepsExactSizes) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, MacsioRestart,
                          ::testing::Values(ex::EngineKind::kSerial,
-                                           ex::EngineKind::kSpmd));
+                                           ex::EngineKind::kEvent));
 
 TEST(MacsioRestartCli, KnobsParseValidateAndRoundTrip) {
   const auto params = mc::Params::from_cli(

@@ -159,7 +159,7 @@ TEST_P(GathervGroup, GathersMemberPayloadsInRankOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Kinds, GathervGroup,
                          ::testing::Values(ex::EngineKind::kSerial,
-                                           ex::EngineKind::kSpmd));
+                                           ex::EngineKind::kEvent));
 
 // ----------------------------------------- aggregated MACSio dump loop
 
@@ -220,18 +220,18 @@ TEST(AggregatedMif, ByteIdenticalAcrossEngines) {
   ex::SerialEngine serial(params.nprocs);
   const auto ref = mc::run_macsio(serial, params, serial_be);
 
-  p::MemoryBackend spmd_be(true);
-  ex::SpmdEngine spmd(params.nprocs);
-  const auto got = mc::run_macsio(spmd, params, spmd_be);
+  p::MemoryBackend event_be(true);
+  ex::EventEngine event(params.nprocs);
+  const auto got = mc::run_macsio(event, params, event_be);
 
   EXPECT_EQ(got.total_bytes, ref.total_bytes);
   EXPECT_EQ(got.nfiles, ref.nfiles);
   EXPECT_EQ(got.bytes_per_dump, ref.bytes_per_dump);
   EXPECT_EQ(got.task_bytes, ref.task_bytes);
   const auto paths = serial_be.list("");
-  ASSERT_EQ(paths, spmd_be.list(""));
+  ASSERT_EQ(paths, event_be.list(""));
   for (const auto& path : paths)
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+    EXPECT_EQ(event_be.read(path), serial_be.read(path)) << path;
 }
 
 TEST(AggregatedMif, SubfilesConcatenateTaskDocsInRankOrder) {
@@ -371,14 +371,14 @@ TEST(AggregatedPlotfile, PredictMatchesWriteAndEnginesAgree) {
   const auto ref =
       pf::write_plotfile(serial, serial_be, c.spec, {{c.geom, &c.mf}});
 
-  p::MemoryBackend spmd_be(true);
-  ex::SpmdEngine spmd(nranks);
-  const auto got = pf::write_plotfile(spmd, spmd_be, c.spec, {{c.geom, &c.mf}});
+  p::MemoryBackend event_be(true);
+  ex::EventEngine event(nranks);
+  const auto got = pf::write_plotfile(event, event_be, c.spec, {{c.geom, &c.mf}});
   EXPECT_EQ(got.total_bytes, ref.total_bytes);
   EXPECT_EQ(got.nfiles, ref.nfiles);
-  ASSERT_EQ(serial_be.list(""), spmd_be.list(""));
+  ASSERT_EQ(serial_be.list(""), event_be.list(""));
   for (const auto& path : serial_be.list(""))
-    EXPECT_EQ(spmd_be.read(path), serial_be.read(path)) << path;
+    EXPECT_EQ(event_be.read(path), serial_be.read(path)) << path;
 
   const pf::LevelLayout layout{c.geom, c.mf.box_array(), c.mf.distribution()};
   const auto predicted = pf::predict_plotfile(c.spec, {layout}, 2);

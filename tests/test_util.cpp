@@ -241,6 +241,31 @@ TEST(Cli, UnknownOptionThrows) {
   EXPECT_THROW(cli.parse({"--mystery", "1"}), std::invalid_argument);
 }
 
+TEST(Cli, NumericValuesParseStrictly) {
+  u::ArgParser cli("prog", "test");
+  cli.add_option("jobs", "workers");
+  cli.add_option("bw", "bandwidth");
+  for (const char* bad : {"2x", "", "foo"}) {
+    cli.parse({"--jobs", bad, "--bw", bad});
+    EXPECT_THROW(cli.get_int("jobs"), std::invalid_argument) << bad;
+    EXPECT_THROW(cli.get_int_or("jobs", 1), std::invalid_argument) << bad;
+    EXPECT_THROW(cli.get_double("bw"), std::invalid_argument) << bad;
+    EXPECT_THROW(cli.get_double_or("bw", 1.0), std::invalid_argument) << bad;
+  }
+  try {
+    (void)u::parse_int("2x", "jobs");
+    FAIL() << "trailing garbage accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(u::parse_int("-12", "n"), -12);
+  EXPECT_DOUBLE_EQ(u::parse_double("2.5e3", "bw"), 2500.0);
+  cli.parse({"--jobs", "8", "--bw", "0.25"});
+  EXPECT_EQ(cli.get_int("jobs"), 8);
+  EXPECT_DOUBLE_EQ(cli.get_double("bw"), 0.25);
+}
+
 TEST(Cli, MissingValueThrows) {
   u::ArgParser cli("prog", "test");
   cli.add_option("n", "count");
